@@ -6,6 +6,10 @@
 // Series reported:
 //   BM_DisjunctiveChase/<diagonals>        — dedup enabled (default)
 //   BM_DisjunctiveChaseNoDedup/<diagonals> — exact branch explosion
+//   BM_DisjunctiveChaseForced/<n>          — 2 diagonals plus n forced
+//                                            (off-diagonal) facts: cost
+//                                            versus instance size, which
+//                                            must stay near-linear
 //   branches counter                        — |chase_M'(J)|
 
 #include "bench_util.h"
@@ -57,6 +61,20 @@ void BM_DisjunctiveChaseNoDedup(benchmark::State& state) {
 }
 BENCHMARK(BM_DisjunctiveChase)->DenseRange(1, 7, 2);
 BENCHMARK(BM_DisjunctiveChaseNoDedup)->DenseRange(1, 7, 2);
+
+void BM_DisjunctiveChaseForced(benchmark::State& state) {
+  scenarios::Scenario s = scenarios::SelfLoop();
+  Instance target =
+      SelfLoopTarget(2, static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    DisjunctiveChaseResult result = MustOk(
+        DisjunctiveChase(target, s.reverse->dependencies()),
+        "disjunctive chase");
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["facts"] = static_cast<double>(target.size());
+}
+BENCHMARK(BM_DisjunctiveChaseForced)->Arg(100)->Arg(400)->Arg(1600);
 
 void BM_QuotientClosedBranches(benchmark::State& state) {
   // The quotient-closed branch set used for composition membership with

@@ -11,34 +11,54 @@
 #include "base/spans.h"
 #include "base/strings.h"
 #include "base/trace.h"
+#include "chase/chase_internal.h"
 #include "core/fact_index.h"
 
 namespace rdx {
+namespace chase_internal {
 namespace {
 
-// True if some disjunct of `dep` is satisfiable in `instance` under an
-// extension of `match` (existential variables free).
-Result<bool> HeadSatisfied(const Instance& instance, const FactIndex& index,
+// True if `match` binds every variable of `disjunct` (no existentials).
+bool BoundUnder(const std::vector<Atom>& disjunct, const Assignment& match) {
+  for (const Atom& a : disjunct) {
+    for (const Term& t : a.terms()) {
+      if (t.IsVariable() && match.count(t.variable()) == 0) return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+Result<bool> HeadSatisfied(const Instance& instance, const FactIndex* index,
                            const Dependency& dep, const Assignment& match,
                            const MatchOptions& options) {
   for (const auto& disjunct : dep.disjuncts()) {
     bool satisfied = false;
-    Status status = EnumerateMatches(
-        disjunct, instance, index,
-        [&](const Assignment&) {
-          satisfied = true;
-          return false;  // one witness suffices
-        },
-        options, match);
-    RDX_RETURN_IF_ERROR(status);
+    if (BoundUnder(disjunct, match)) {
+      satisfied = true;
+      for (const Atom& a : disjunct) {
+        RDX_ASSIGN_OR_RETURN(Fact f, a.Ground(match));
+        if (!instance.Contains(f)) {
+          satisfied = false;
+          break;
+        }
+      }
+    } else {
+      Status status = EnumerateMatches(
+          disjunct, instance, *index,
+          [&](const Assignment&) {
+            satisfied = true;
+            return false;  // one witness suffices
+          },
+          options, match);
+      RDX_RETURN_IF_ERROR(status);
+    }
     if (satisfied) return true;
   }
   return false;
 }
 
-// Grounds `disjunct` under `match`, instantiating existential variables
-// with globally fresh nulls, and adds the facts to `instance`. Newly added
-// facts are appended to `added_facts`.
 Result<uint64_t> FireDisjunct(const std::vector<Atom>& disjunct,
                               const Assignment& match, Instance* instance,
                               std::vector<Fact>* added_facts) {
@@ -60,6 +80,13 @@ Result<uint64_t> FireDisjunct(const std::vector<Atom>& disjunct,
   }
   return added;
 }
+
+}  // namespace chase_internal
+
+namespace {
+
+using chase_internal::FireDisjunct;
+using chase_internal::HeadSatisfied;
 
 struct Trigger {
   const Dependency* dep;
@@ -379,7 +406,7 @@ Result<ChaseResult> Chase(const Instance& input,
       if (attributed) fire_timer.emplace(nullptr, &fire_us);
       RDX_ASSIGN_OR_RETURN(
           bool satisfied,
-          HeadSatisfied(result.combined, index, *trigger.dep, trigger.match,
+          HeadSatisfied(result.combined, &index, *trigger.dep, trigger.match,
                         options.match_options));
       if (satisfied) {
         fire_timer.reset();
@@ -468,7 +495,7 @@ Result<bool> Satisfies(const Instance& instance, const Dependency& dependency,
       dependency.body(), instance, index,
       [&](const Assignment& match) {
         Result<bool> head =
-            HeadSatisfied(instance, index, dependency, match, options);
+            HeadSatisfied(instance, &index, dependency, match, options);
         if (!head.ok()) {
           inner_error = head.status();
           all_satisfied = false;

@@ -1,176 +1,108 @@
 #include "chase/disjunctive_chase.h"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
-#include <functional>
+#include <memory>
 #include <optional>
 #include <unordered_set>
 
 #include "base/attribution.h"
 #include "base/metrics.h"
-#include "base/parallel_for.h"
 #include "base/spans.h"
 #include "base/strings.h"
 #include "base/trace.h"
+#include "chase/chase_internal.h"
 #include "core/fact_index.h"
 #include "core/homomorphism.h"
+#include "core/match.h"
 
 namespace rdx {
 namespace {
 
-struct UnsatisfiedTrigger {
+using chase_internal::FireDisjunct;
+using chase_internal::HeadSatisfied;
+
+struct Trigger {
   const Dependency* dep;
   Assignment match;
 };
+using TriggerList = std::vector<Trigger>;
 
-// Scans one dependency for a body match with no satisfiable head disjunct,
-// leaving it in *found (first in enumeration order). `cancelled`, when
-// set, is polled between body matches so a losing racer can stop early.
-Status ScanDependency(const Instance& instance, const FactIndex& index,
-                      const Dependency& dep, const MatchOptions& options,
-                      std::optional<UnsatisfiedTrigger>* found,
-                      const std::function<bool()>& cancelled) {
-  Status inner_error = Status::OK();
-  Status status = EnumerateMatches(
-      dep.body(), instance, index,
-      [&](const Assignment& match) {
-        if (cancelled && cancelled()) return false;
-        // Check whether some disjunct is satisfiable under `match`.
-        for (const auto& disjunct : dep.disjuncts()) {
-          bool satisfied = false;
-          Status s = EnumerateMatches(
-              disjunct, instance, index,
-              [&](const Assignment&) {
-                satisfied = true;
-                return false;
-              },
-              options, match);
-          if (!s.ok()) {
-            inner_error = s;
-            return false;
-          }
-          if (satisfied) return true;  // this match is fine; keep going
-        }
-        *found = UnsatisfiedTrigger{&dep, match};
-        return false;  // stop at the first violation
-      },
-      options);
-  RDX_RETURN_IF_ERROR(status);
-  RDX_RETURN_IF_ERROR(inner_error);
-  return Status::OK();
-}
+// One live branch of the search. `triggers` is every body match in
+// (dependency, enumeration) order; every trigger before `cursor` is
+// satisfied in `instance`, and since facts are only ever added it stays
+// so. A null `triggers` means the list must be re-enumerated over this
+// branch (a step added a fact to a body-read relation). `index`, when
+// present, indexes exactly `instance`; it is built on demand (body
+// enumeration, or a head disjunct with existential variables) and kept in
+// step with in-place firing, and a copied child starts without one.
+struct Branch {
+  Instance instance;
+  std::shared_ptr<const TriggerList> triggers;
+  std::size_t cursor = 0;
+  std::unique_ptr<FactIndex> index;
 
-// Adds a racer-local MatchStats into the caller's accumulator (the
-// accumulator pointer is not thread-safe; losing racers' speculative work
-// is discarded so the accumulated totals match the sequential scan).
-void MergeMatchStats(const MatchStats& run, MatchStats* accumulator) {
-  if (accumulator == nullptr) return;
-  accumulator->enumerations += run.enumerations;
-  accumulator->steps += run.steps;
-  accumulator->candidates += run.candidates;
-  accumulator->matches += run.matches;
-}
-
-// Finds the first body match of some dependency with no satisfiable head
-// disjunct, or nullopt if `instance` satisfies all dependencies.
-//
-// With num_threads > 1 the per-dependency scans race on the pool; the
-// winner is the lowest dependency index that finds a violation, which is
-// exactly the trigger the sequential scan returns. Higher-index racers
-// are speculative: they stop once a lower index wins, and their stats are
-// dropped from the accumulator (the process-wide match.* counters do see
-// the speculative work).
-Result<std::optional<UnsatisfiedTrigger>> FindUnsatisfiedTrigger(
-    const Instance& instance, const std::vector<Dependency>& dependencies,
-    const MatchOptions& options, uint64_t num_threads) {
-  FactIndex index(instance);
-  if (num_threads <= 1 || dependencies.size() <= 1) {
-    for (const Dependency& dep : dependencies) {
-      std::optional<UnsatisfiedTrigger> found;
-      RDX_RETURN_IF_ERROR(ScanDependency(instance, index, dep, options,
-                                         &found, nullptr));
-      if (found.has_value()) return found;
-    }
-    return std::optional<UnsatisfiedTrigger>();
+  const FactIndex& Index() {
+    if (index == nullptr) index = std::make_unique<FactIndex>(instance);
+    return *index;
   }
-
-  struct DepScan {
-    std::optional<UnsatisfiedTrigger> found;
-    MatchStats run;
-    Status status = Status::OK();
-  };
-  std::vector<DepScan> scans(dependencies.size());
-  std::atomic<std::size_t> winner{dependencies.size()};
-  par::ParallelFor(num_threads, dependencies.size(), [&](std::size_t d) {
-    if (winner.load(std::memory_order_relaxed) < d) return;
-    DepScan& scan = scans[d];
-    MatchOptions task_options = options;
-    task_options.num_threads = 1;
-    task_options.stats = &scan.run;
-    scan.status = ScanDependency(
-        instance, index, dependencies[d], task_options, &scan.found,
-        [&winner, d] {
-          return winner.load(std::memory_order_relaxed) < d;
-        });
-    if (scan.found.has_value()) {
-      std::size_t cur = winner.load(std::memory_order_relaxed);
-      while (d < cur &&
-             !winner.compare_exchange_weak(cur, d,
-                                           std::memory_order_relaxed)) {
-      }
-    }
-  });
-  // Resolve in dependency order: a task only stops early when a strictly
-  // lower index won, and that index is consulted first, so everything the
-  // resolution loop reads before returning ran to its sequential end.
-  for (std::size_t d = 0; d < dependencies.size(); ++d) {
-    MergeMatchStats(scans[d].run, options.stats);
-    RDX_RETURN_IF_ERROR(scans[d].status);
-    if (scans[d].found.has_value()) return std::move(scans[d].found);
-  }
-  return std::optional<UnsatisfiedTrigger>();
-}
-
-// Grounds `disjunct` under `match` with fresh nulls for existential
-// variables, returning the child instance.
-Result<Instance> ExpandBranch(const Instance& state,
-                              const std::vector<Atom>& disjunct,
-                              const Assignment& match) {
-  Assignment extended = match;
-  for (const Atom& a : disjunct) {
-    for (Variable v : a.Vars()) {
-      if (extended.count(v) == 0) {
-        extended.emplace(v, Value::FreshNull());
-      }
-    }
-  }
-  Instance child = state;
-  for (const Atom& a : disjunct) {
-    RDX_ASSIGN_OR_RETURN(Fact f, a.Ground(extended));
-    child.AddFact(f);
-  }
-  return child;
-}
-
-// Per-dependency accumulation for one run: time and work attributed to
-// the dependency whose violation drove each step. Counts come from the
-// sequential main loop (the winning trigger is the lowest dependency
-// index, identical at any num_threads); time covers the whole step (scan
-// plus expansion) and is only measured when tracing or attribution is on.
-struct DepWork {
-  uint64_t micros = 0;
-  uint64_t fired = 0;  // steps this dependency's violation drove
-  uint64_t facts = 0;  // facts materialized across the expanded children
 };
+
+// Enumerates every dependency's body matches over the branch, in the
+// order the sequential per-dependency scan visits them (CollectMatches
+// returns sequential order at any num_threads).
+Result<std::shared_ptr<const TriggerList>> EnumerateTriggers(
+    Branch* branch, const std::vector<Dependency>& dependencies,
+    const MatchOptions& match_options) {
+  auto triggers = std::make_shared<TriggerList>();
+  for (const Dependency& dep : dependencies) {
+    RDX_ASSIGN_OR_RETURN(
+        std::vector<Assignment> matches,
+        CollectMatches(dep.body(), branch->instance, branch->Index(),
+                       match_options));
+    for (Assignment& match : matches) {
+      triggers->push_back(Trigger{&dep, std::move(match)});
+    }
+  }
+  return std::shared_ptr<const TriggerList>(std::move(triggers));
+}
+
+// Fires `disjunct` under `match` into `branch`, past the trigger at its
+// cursor (which the grounded disjunct now satisfies). Returns the number
+// of facts added. A fact landing in a body-read relation may create body
+// matches, so it drops the branch's trigger list for re-enumeration.
+Result<uint64_t> FireInto(Branch* branch, const std::vector<Atom>& disjunct,
+                          const Assignment& match,
+                          const std::unordered_set<uint32_t>& body_relations) {
+  std::vector<Fact> added_facts;
+  const std::size_t before = branch->instance.size();
+  RDX_ASSIGN_OR_RETURN(uint64_t added,
+                       FireDisjunct(disjunct, match, &branch->instance,
+                                    &added_facts));
+  if (branch->index != nullptr) {
+    const std::deque<Fact>& facts = branch->instance.facts();
+    for (std::size_t i = before; i < facts.size(); ++i) {
+      branch->index->Add(&facts[i]);
+    }
+  }
+  ++branch->cursor;
+  for (const Fact& f : added_facts) {
+    if (body_relations.count(f.relation().id()) > 0) {
+      branch->triggers.reset();
+      branch->cursor = 0;
+      break;
+    }
+  }
+  return added;
+}
 
 // Publishes the per-dependency rows to the "dchase.dep" attribution
 // domain and, when tracing, as "dchase.dep" events. `satisfied_us` is the
 // time spent on steps that found no violation (branch completion and
 // dedup), reported under the pseudo-key "(satisfied)".
-void PublishDisjunctiveAttribution(const std::vector<Dependency>& dependencies,
-                                   const std::vector<DepWork>& work,
-                                   uint64_t satisfied_us) {
+void PublishDisjunctiveAttribution(
+    const std::vector<Dependency>& dependencies,
+    const std::vector<DisjunctiveChaseDepStats>& work, uint64_t satisfied_us) {
   const bool attributing = obs::AttributionEnabled();
   const bool tracing = obs::TracingEnabled();
   if (!attributing && !tracing) return;
@@ -250,17 +182,37 @@ Result<DisjunctiveChaseResult> DisjunctiveChase(
   obs::Span run_span("dchase");
   obs::ScopedTimer run_timer;
   const bool attributed = obs::AttributionEnabled() || obs::TracingEnabled();
-  std::vector<DepWork> dep_work(dependencies.size());
+  stats.per_dependency.resize(dependencies.size());
   uint64_t satisfied_us = 0;
-  std::deque<Instance> queue;
-  queue.push_back(input);
+  std::unordered_set<uint32_t> body_relations;
+  // Head checks for dependencies whose disjuncts are all full need no
+  // index (HeadSatisfied decides them by Instance::Contains).
+  std::vector<bool> full(dependencies.size());
+  for (std::size_t d = 0; d < dependencies.size(); ++d) {
+    for (Relation r : dependencies[d].BodyRelations()) {
+      body_relations.insert(r.id());
+    }
+    full[d] = dependencies[d].IsFull();
+  }
+  const bool all_full = std::find(full.begin(), full.end(), false) == full.end();
+  MatchOptions enumerate_options = options.match_options;
+  enumerate_options.num_threads = options.num_threads;
+  // Dedup keys of result.combined, in the same order.
+  struct World {
+    std::size_t hash;
+    bool ground;
+  };
+  std::vector<World> worlds;
+  std::deque<Branch> queue;
+  queue.push_back(Branch{input, nullptr, 0, nullptr});
 
   while (!queue.empty()) {
     stats.max_live_branches = std::max<uint64_t>(stats.max_live_branches,
                                                  queue.size());
     if (queue.size() > options.max_branches) {
       stats.micros = run_timer.ElapsedMicros();
-      PublishDisjunctiveAttribution(dependencies, dep_work, satisfied_us);
+      PublishDisjunctiveAttribution(dependencies, stats.per_dependency,
+                                    satisfied_us);
       PublishDisjunctiveStats(stats, result.combined.size(),
                               /*completed=*/false);
       return Status::ResourceExhausted(
@@ -271,7 +223,8 @@ Result<DisjunctiveChaseResult> DisjunctiveChase(
     if (++result.steps > options.max_steps) {
       stats.steps = result.steps;
       stats.micros = run_timer.ElapsedMicros();
-      PublishDisjunctiveAttribution(dependencies, dep_work, satisfied_us);
+      PublishDisjunctiveAttribution(dependencies, stats.per_dependency,
+                                    satisfied_us);
       PublishDisjunctiveStats(stats, result.combined.size(),
                               /*completed=*/false);
       return Status::ResourceExhausted(
@@ -280,29 +233,50 @@ Result<DisjunctiveChaseResult> DisjunctiveChase(
                  stats.branches_completed, " completed)"));
     }
     stats.steps = result.steps;
-    Instance state = std::move(queue.front());
+    Branch branch = std::move(queue.front());
     queue.pop_front();
     stats.peak_instance_facts =
-        std::max<uint64_t>(stats.peak_instance_facts, state.size());
+        std::max<uint64_t>(stats.peak_instance_facts, branch.instance.size());
 
     std::optional<obs::ScopedTimer> step_timer;
     uint64_t step_us = 0;
     if (attributed) step_timer.emplace(nullptr, &step_us);
-    RDX_ASSIGN_OR_RETURN(
-        std::optional<UnsatisfiedTrigger> trigger,
-        FindUnsatisfiedTrigger(state, dependencies, options.match_options,
-                               options.num_threads));
-    if (!trigger.has_value()) {
+    if (branch.triggers == nullptr) {
+      RDX_ASSIGN_OR_RETURN(
+          branch.triggers,
+          EnumerateTriggers(&branch, dependencies, enumerate_options));
+      // Head checks of full dependencies never read the index.
+      if (all_full) branch.index.reset();
+    }
+    // Advance past satisfied triggers to the first unsatisfied one.
+    const TriggerList& triggers = *branch.triggers;
+    for (; branch.cursor < triggers.size(); ++branch.cursor) {
+      const Trigger& t = triggers[branch.cursor];
+      const FactIndex* index =
+          full[t.dep - dependencies.data()] ? nullptr : &branch.Index();
+      RDX_ASSIGN_OR_RETURN(
+          bool satisfied,
+          HeadSatisfied(branch.instance, index, *t.dep, t.match,
+                        options.match_options));
+      if (!satisfied) break;
+    }
+    if (branch.cursor == triggers.size()) {
       ++stats.branches_completed;
-      // Completed branch: dedup (exact, then up to hom-equivalence).
+      // Completed branch: dedup (exact, then up to hom-equivalence). Equal
+      // instances have equal order-insensitive hashes, and two ground
+      // instances are hom-equivalent only when equal.
+      const World world{branch.instance.Hash(), branch.instance.IsGround()};
       bool duplicate = false;
-      for (const Instance& earlier : result.combined) {
-        if (earlier == state) {
+      for (std::size_t w = 0; w < result.combined.size(); ++w) {
+        const Instance& earlier = result.combined[w];
+        if (worlds[w].hash == world.hash && earlier == branch.instance) {
           duplicate = true;
           break;
         }
-        if (options.dedup_hom_equivalent) {
-          RDX_ASSIGN_OR_RETURN(bool equiv, AreHomEquivalent(earlier, state));
+        if (options.dedup_hom_equivalent &&
+            !(world.ground && worlds[w].ground)) {
+          RDX_ASSIGN_OR_RETURN(bool equiv,
+                               AreHomEquivalent(earlier, branch.instance));
           if (equiv) {
             duplicate = true;
             break;
@@ -310,7 +284,8 @@ Result<DisjunctiveChaseResult> DisjunctiveChase(
         }
       }
       if (!duplicate) {
-        result.combined.push_back(std::move(state));
+        result.combined.push_back(std::move(branch.instance));
+        worlds.push_back(world);
       } else {
         ++stats.branches_deduped;
       }
@@ -319,34 +294,48 @@ Result<DisjunctiveChaseResult> DisjunctiveChase(
       continue;
     }
 
+    // Keep the trigger alive: firing may drop the branch's list.
+    std::shared_ptr<const TriggerList> keep = branch.triggers;
+    const Trigger& trigger = triggers[branch.cursor];
+    const auto& disjuncts = trigger.dep->disjuncts();
     uint64_t facts_this_step = 0;
-    for (const auto& disjunct : trigger->dep->disjuncts()) {
-      RDX_ASSIGN_OR_RETURN(Instance child,
-                           ExpandBranch(state, disjunct, trigger->match));
-      facts_this_step += child.size() - state.size();
+    // One child per disjunct, in order. All but the last start as copies
+    // of the unmodified branch; the last fires into the branch in place.
+    for (std::size_t i = 0; i < disjuncts.size(); ++i) {
+      Branch child = i + 1 < disjuncts.size()
+                         ? Branch{branch.instance, branch.triggers,
+                                  branch.cursor, nullptr}
+                         : std::move(branch);
+      RDX_ASSIGN_OR_RETURN(
+          uint64_t added,
+          FireInto(&child, disjuncts[i], trigger.match, body_relations));
+      facts_this_step += added;
       queue.push_back(std::move(child));
       ++stats.branches_expanded;
     }
     step_timer.reset();
-    DepWork& winner = dep_work[trigger->dep - dependencies.data()];
+    DisjunctiveChaseDepStats& winner =
+        stats.per_dependency[trigger.dep - dependencies.data()];
     winner.micros += step_us;
     winner.fired += 1;
     winner.facts += facts_this_step;
   }
 
-  // Added-facts view.
+  // Added-facts view: every branch starts as a copy of `input` and only
+  // appends, so its added facts are exactly those past input.size().
   result.added.reserve(result.combined.size());
   for (const Instance& combined : result.combined) {
     Instance added;
-    for (const Fact& f : combined.facts()) {
-      if (!input.Contains(f)) added.AddFact(f);
+    for (std::size_t i = input.size(); i < combined.size(); ++i) {
+      added.AddFact(combined.facts()[i]);
     }
     result.added.push_back(std::move(added));
   }
   stats.micros = run_timer.ElapsedMicros();
   run_span.Arg("steps", stats.steps)
       .Arg("worlds", static_cast<uint64_t>(result.combined.size()));
-  PublishDisjunctiveAttribution(dependencies, dep_work, satisfied_us);
+  PublishDisjunctiveAttribution(dependencies, stats.per_dependency,
+                                satisfied_us);
   PublishDisjunctiveStats(stats, result.combined.size(), /*completed=*/true);
   return result;
 }

@@ -26,14 +26,22 @@ struct DisjunctiveChaseOptions {
   /// are always dropped.
   bool dedup_hom_equivalent = true;
 
-  /// Threads racing the per-dependency violation scans (rdx::par). The
-  /// winner is always the lowest dependency index with a violation — the
-  /// same trigger the sequential scan finds — so branching order and the
-  /// final result set are identical for every value. 1 (the default) is
-  /// exactly the sequential code path. See docs/parallelism.md.
+  /// Threads for the one-time body-match enumeration (CollectMatches,
+  /// rdx::par), which returns matches in sequential order, so branching
+  /// order and the final result set are identical for every value. 1 (the
+  /// default) is exactly the sequential code path. See
+  /// docs/parallelism.md.
   uint64_t num_threads = 1;
 
   MatchOptions match_options;
+};
+
+/// Work attributed to one dependency: the steps its unsatisfied triggers
+/// drove and the facts those steps added across all children.
+struct DisjunctiveChaseDepStats {
+  uint64_t fired = 0;
+  uint64_t facts = 0;
+  uint64_t micros = 0;  // only measured when tracing or attribution is on
 };
 
 /// Observability stats for a disjunctive chase run. The "universe" figures
@@ -46,6 +54,8 @@ struct DisjunctiveChaseStats {
   uint64_t max_live_branches = 0;   // queue high-water mark
   uint64_t peak_instance_facts = 0; // largest branch instance seen
   uint64_t micros = 0;
+  /// One row per dependency, in dependency order.
+  std::vector<DisjunctiveChaseDepStats> per_dependency;
 
   std::string ToString() const;
 };
@@ -71,6 +81,14 @@ struct DisjunctiveChaseResult {
 /// each unsatisfied trigger branches the current instance into one child
 /// per head disjunct; a branch completes when it satisfies all
 /// dependencies. Returns every completed branch.
+///
+/// Branches are expanded breadth-first, one step per queue turn. Each
+/// step handles the first unsatisfied trigger in (dependency, body-match)
+/// order. Body matches are enumerated once and each branch keeps a cursor
+/// into that list: facts are only ever added, so a satisfied trigger stays
+/// satisfied, and the list is re-enumerated for a branch only when a step
+/// adds a fact to a relation some body reads (never for a mapping, whose
+/// bodies and heads use disjoint schemas).
 ///
 /// Plain tgds are handled as one-disjunct dependencies, so a mixed set is
 /// fine. Inequality and Constant body atoms are supported.

@@ -65,10 +65,11 @@ Value Value::FreshNull() {
   std::lock_guard<std::mutex> lock(t.mu);
   uint32_t id = static_cast<uint32_t>(t.null_labels.size());
   std::string label = StrCat("N", id);
-  // Synthesized labels could in principle collide with user labels; bump
-  // the id until the label is unused.
+  // Synthesized labels can collide with user labels ("N7", "N7_", ...);
+  // append underscores until the label is unused. Each retry is a new
+  // label, so the loop ends.
   while (t.null_ids.count(label) > 0) {
-    label = StrCat("N", id, "_");
+    label += "_";
   }
   t.null_labels.push_back(label);
   t.null_ids.emplace(std::move(label), id);
