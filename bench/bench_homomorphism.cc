@@ -57,7 +57,8 @@ BENCHMARK(BM_HomPositive)
     ->Args({100, 0})
     ->Args({100, 30})
     ->Args({100, 70})
-    ->Args({400, 30});
+    ->Args({400, 30})
+    ->Args({1600, 30});
 
 void RunHomNegative(benchmark::State& state, bool use_domain_filter) {
   std::size_t facts = static_cast<std::size_t>(state.range(0));
@@ -91,7 +92,7 @@ void BM_HomNegative(benchmark::State& state) {
 void BM_HomNegativeWithFilter(benchmark::State& state) {
   RunHomNegative(state, /*use_domain_filter=*/true);
 }
-BENCHMARK(BM_HomNegative)->Arg(20)->Arg(100)->Arg(400);
+BENCHMARK(BM_HomNegative)->Arg(20)->Arg(100)->Arg(400)->Arg(1600);
 BENCHMARK(BM_HomNegativeWithFilter)->Arg(20)->Arg(100)->Arg(400);
 
 void BM_HomEquivalence(benchmark::State& state) {
@@ -103,7 +104,7 @@ void BM_HomEquivalence(benchmark::State& state) {
     benchmark::DoNotOptimize(equiv);
   }
 }
-BENCHMARK(BM_HomEquivalence)->Arg(20)->Arg(100)->Arg(400);
+BENCHMARK(BM_HomEquivalence)->Arg(20)->Arg(100)->Arg(400)->Arg(1600);
 
 void BM_EIdMembership(benchmark::State& state) {
   // (I1, I2) ∈ e(Id) — the extended identity of Definition 3.7.
@@ -117,7 +118,7 @@ void BM_EIdMembership(benchmark::State& state) {
     benchmark::DoNotOptimize(in_e_id);
   }
 }
-BENCHMARK(BM_EIdMembership)->Arg(20)->Arg(100)->Arg(400);
+BENCHMARK(BM_EIdMembership)->Arg(20)->Arg(100)->Arg(400)->Arg(1600);
 
 void VerifyClaims() {
   Instance to = RandomGraph(80, 0.0, 11, 42);

@@ -1,7 +1,8 @@
 #include "core/blocks.h"
 
 #include <numeric>
-#include <unordered_map>
+
+#include "base/hash.h"
 
 namespace rdx {
 namespace {
@@ -43,11 +44,14 @@ BlockDecomposition DecomposeIntoBlocks(const Instance& instance) {
   BlockDecomposition out;
   // Dense ids for the non-ground facts, in insertion order.
   std::vector<const Fact*> null_facts;
+  null_facts.reserve(instance.size());
+  std::size_t null_positions = 0;
   for (const Fact& f : instance.facts()) {
     if (f.IsGround()) {
       out.ground.push_back(&f);
     } else {
       null_facts.push_back(&f);
+      null_positions += f.args().size();
     }
   }
   if (null_facts.empty()) return out;
@@ -55,26 +59,29 @@ BlockDecomposition DecomposeIntoBlocks(const Instance& instance) {
   UnionFind sets(null_facts.size());
   // Facts sharing a null are connected: union each fact with the previous
   // fact seen for every null it carries.
-  std::unordered_map<Value, std::size_t, ValueHash> last_fact_with_null;
+  FlatIdMap last_fact_with_null(null_positions);
   for (std::size_t i = 0; i < null_facts.size(); ++i) {
     for (const Value& v : null_facts[i]->args()) {
       if (!v.IsNull()) continue;
-      auto [it, inserted] = last_fact_with_null.try_emplace(v, i);
+      auto [last, inserted] = last_fact_with_null.TryEmplace(
+          v.PackedId(), static_cast<uint32_t>(i));
       if (!inserted) {
-        sets.Union(it->second, i);
-        it->second = i;
+        sets.Union(*last, i);
+        *last = static_cast<uint32_t>(i);
       }
     }
   }
 
   // Group by root; block order = order of each root's first fact.
-  std::unordered_map<std::size_t, std::size_t> block_of_root;
+  constexpr std::size_t kNoBlock = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> block_of_root(null_facts.size(), kNoBlock);
   for (std::size_t i = 0; i < null_facts.size(); ++i) {
-    std::size_t root = sets.Find(i);
-    auto [it, inserted] =
-        block_of_root.try_emplace(root, out.blocks.size());
-    if (inserted) out.blocks.emplace_back();
-    out.blocks[it->second].push_back(null_facts[i]);
+    std::size_t& block = block_of_root[sets.Find(i)];
+    if (block == kNoBlock) {
+      block = out.blocks.size();
+      out.blocks.emplace_back();
+    }
+    out.blocks[block].push_back(null_facts[i]);
   }
   return out;
 }

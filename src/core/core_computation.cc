@@ -32,6 +32,7 @@ void MergeHomStats(const HomomorphismStats& run,
   accumulator->backtracks += run.backtracks;
   accumulator->domain_filter_prunes += run.domain_filter_prunes;
   accumulator->found += run.found;
+  accumulator->blocks += run.blocks;
   accumulator->micros += run.micros;
 }
 

@@ -5,10 +5,12 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "base/hash.h"
 #include "base/metrics.h"
 #include "base/spans.h"
 #include "base/strings.h"
 #include "base/trace.h"
+#include "core/blocks.h"
 #include "core/fact_index.h"
 
 namespace rdx {
@@ -25,6 +27,7 @@ void PublishHomStats(const HomomorphismStats& run,
   static obs::Counter& backtracks = obs::Counter::Get("hom.backtracks");
   static obs::Counter& prunes = obs::Counter::Get("hom.domain_filter_prunes");
   static obs::Counter& found = obs::Counter::Get("hom.found");
+  static obs::Counter& blocks = obs::Counter::Get("hom.blocks");
   static obs::Counter& us = obs::Counter::Get("hom.us");
   searches.Increment();
   steps.Add(run.steps);
@@ -32,6 +35,7 @@ void PublishHomStats(const HomomorphismStats& run,
   backtracks.Add(run.backtracks);
   prunes.Add(run.domain_filter_prunes);
   found.Add(run.found);
+  blocks.Add(run.blocks);
   us.Add(run.micros);
   if (accumulator != nullptr) {
     accumulator->searches += 1;
@@ -40,6 +44,7 @@ void PublishHomStats(const HomomorphismStats& run,
     accumulator->backtracks += run.backtracks;
     accumulator->domain_filter_prunes += run.domain_filter_prunes;
     accumulator->found += run.found;
+    accumulator->blocks += run.blocks;
     accumulator->micros += run.micros;
   }
   if (obs::TracingEnabled()) {
@@ -58,14 +63,23 @@ void PublishHomStats(const HomomorphismStats& run,
 // are compiled once into packed-id rows (constants inline, nulls as dense
 // slot numbers), the binding is a flat uint32 vector indexed by slot, and
 // candidate filtering walks the index's per-position posting lists of row
-// numbers. Enumeration order and the steps/candidate_pairs/backtracks
-// counters are identical to the original pointer-based search: rows are
-// in insertion order exactly like the old per-(relation,position,value)
-// fact lists, and the most-constrained-first choice compares the same
-// list sizes.
+// numbers.
+//
+// The source arrives as blocks searched one at a time: the Gaifman
+// null-blocks of DecomposeIntoBlocks (the caller probes the ground facts),
+// or, on the masked path, one block holding every fact. Each step picks
+// the unmatched fact of the current block with the fewest candidates
+// (most-constrained first), so a step costs O(block), not O(source).
+// Blocks partition the nulls, so a block that cannot map refutes the whole
+// search and is never retried under another binding of an earlier block;
+// only injective mode, where blocks compete for target values, backtracks
+// across blocks. Blocks run hardest first (see OrderBlocksHardestFirst).
+// A single block enumerates exactly like a whole-source search, so the
+// masked path's steps/candidate_pairs/backtracks are those of the
+// unsplit search.
 class HomSearch {
  public:
-  HomSearch(std::vector<const Fact*> source_facts, const FactIndex& index,
+  HomSearch(BlockDecomposition parts, const FactIndex& index,
             const HomomorphismOptions& options,
             const FactMask* mask = nullptr,
             uint32_t excluded = kNoFactOrdinal)
@@ -73,17 +87,18 @@ class HomSearch {
         mask_(mask),
         excluded_(excluded),
         options_(options),
-        source_facts_(std::move(source_facts)) {}
+        parts_(std::move(parts)) {}
 
   Result<std::optional<ValueMap>> Run(const ValueMap& seed) {
     Prepare(seed);
     if (options_.injective) {
       // Constants of the source are their own (reserved) images; seed
       // bindings occupy their targets too.
-      for (const Fact* f : source_facts_) {
-        for (const Value& v : f->args()) {
-          if (v.IsConstant()) used_targets_.insert(v.PackedId());
-        }
+      for (const Fact* f : parts_.ground) {
+        for (const Value& v : f->args()) used_targets_.insert(v.PackedId());
+      }
+      for (std::size_t k = 0; k < terms_.size(); ++k) {
+        if (!is_null_[k]) used_targets_.insert(terms_[k]);
       }
       for (const auto& [from, to] : seed) {
         if (from.IsNull()) {
@@ -93,10 +108,10 @@ class HomSearch {
         }
       }
     }
-    matched_.assign(source_facts_.size(), false);
-    bind_stack_.resize(source_facts_.size());
+    matched_.assign(prepared_.size(), false);
+    bind_stack_.resize(prepared_.size());
     steps_ = 0;
-    bool found = Search(source_facts_.size());
+    bool found = SearchBlocks();
     if (budget_exceeded_) {
       return Status::ResourceExhausted(
           StrCat("homomorphism search exceeded ", options_.max_steps,
@@ -124,38 +139,76 @@ class HomSearch {
     uint32_t arity = 0;
   };
 
+  // Block `b` of the search is prepared_[begin, end); `key` is its
+  // smallest initial CandidateBound (set only when there is an order to
+  // choose).
+  struct BlockRange {
+    uint32_t begin = 0;
+    uint32_t end = 0;
+    std::size_t key = std::numeric_limits<std::size_t>::max();
+  };
+
   void Prepare(const ValueMap& seed) {
-    std::unordered_map<uint32_t, uint32_t> slot_of;  // packed null -> slot
+    std::size_t total_facts = 0;
     std::size_t total_arity = 0;
-    for (const Fact* f : source_facts_) total_arity += f->args().size();
+    for (const std::vector<const Fact*>& block : parts_.blocks) {
+      total_facts += block.size();
+      for (const Fact* f : block) total_arity += f->args().size();
+    }
+    FlatIdMap slot_of(total_arity);  // packed null -> slot
     terms_.reserve(total_arity);
     is_null_.reserve(total_arity);
-    prepared_.resize(source_facts_.size());
-    for (std::size_t i = 0; i < source_facts_.size(); ++i) {
-      const Fact& f = *source_facts_[i];
-      PreparedFact& p = prepared_[i];
-      p.store = index_.StoreOf(f.relation());
-      p.begin = static_cast<uint32_t>(terms_.size());
-      p.arity = static_cast<uint32_t>(f.args().size());
-      for (const Value& v : f.args()) {
-        if (v.IsConstant()) {
-          terms_.push_back(v.PackedId());
-          is_null_.push_back(0);
-        } else {
-          auto [it, inserted] = slot_of.emplace(
-              v.PackedId(), static_cast<uint32_t>(slot_values_.size()));
-          if (inserted) slot_values_.push_back(v);
-          terms_.push_back(it->second);
-          is_null_.push_back(1);
+    prepared_.reserve(total_facts);
+    slot_values_.reserve(total_arity);
+    blocks_.reserve(parts_.blocks.size());
+    for (const std::vector<const Fact*>& block : parts_.blocks) {
+      BlockRange& range = blocks_.emplace_back();
+      range.begin = static_cast<uint32_t>(prepared_.size());
+      for (const Fact* f : block) {
+        PreparedFact& p = prepared_.emplace_back();
+        p.store = index_.StoreOf(f->relation());
+        p.begin = static_cast<uint32_t>(terms_.size());
+        p.arity = static_cast<uint32_t>(f->args().size());
+        for (const Value& v : f->args()) {
+          if (v.IsConstant()) {
+            terms_.push_back(v.PackedId());
+            is_null_.push_back(0);
+          } else {
+            auto [slot, inserted] = slot_of.TryEmplace(
+                v.PackedId(), static_cast<uint32_t>(slot_values_.size()));
+            if (inserted) slot_values_.push_back(v);
+            terms_.push_back(*slot);
+            is_null_.push_back(1);
+          }
         }
       }
+      range.end = static_cast<uint32_t>(prepared_.size());
     }
     binding_.assign(slot_values_.size(), Value::kInvalidPackedId);
     for (const auto& [from, to] : seed) {
       if (!from.IsNull()) continue;
-      auto it = slot_of.find(from.PackedId());
-      if (it != slot_of.end()) binding_[it->second] = to.PackedId();
+      const uint32_t* slot = slot_of.Find(from.PackedId());
+      if (slot != nullptr) binding_[*slot] = to.PackedId();
     }
+    OrderBlocksHardestFirst();
+  }
+
+  // Reorders the blocks by their most constrained fact: the smallest
+  // CandidateBound under the seed, ties kept in source order. A block
+  // that cannot map usually has a fact with no candidate at all, so it
+  // comes first and refutes on the first step instead of after every
+  // other block has been searched.
+  void OrderBlocksHardestFirst() {
+    if (blocks_.size() <= 1) return;
+    for (BlockRange& range : blocks_) {
+      for (uint32_t i = range.begin; i < range.end; ++i) {
+        range.key = std::min(range.key, CandidateBound(prepared_[i]));
+      }
+    }
+    std::sort(blocks_.begin(), blocks_.end(),
+              [](const BlockRange& x, const BlockRange& y) {
+                return x.key != y.key ? x.key < y.key : x.begin < y.begin;
+              });
   }
 
   // Number of target candidates compatible with the current binding for
@@ -177,17 +230,33 @@ class HomSearch {
     return best;
   }
 
-  bool Search(std::size_t remaining) {
-    if (remaining == 0) return true;
+  bool SearchBlocks() {
+    for (std::size_t b = 0; b < blocks_.size(); ++b) {
+      if (!Search(b, blocks_[b].end - blocks_[b].begin)) return false;
+      if (options_.injective) return true;  // Search ran every later block
+    }
+    return true;
+  }
+
+  // Maps the `remaining` unmatched facts of block `b`.
+  bool Search(std::size_t b, std::size_t remaining) {
+    const BlockRange& range = blocks_[b];
+    if (remaining == 0) {
+      // Injective mode: later blocks compete with this one for targets,
+      // so they are searched beneath this binding and their failure
+      // backtracks into it.
+      if (!options_.injective || b + 1 == blocks_.size()) return true;
+      return Search(b + 1, blocks_[b + 1].end - blocks_[b + 1].begin);
+    }
     if (++steps_ > options_.max_steps) {
       budget_exceeded_ = true;
       return false;
     }
 
-    // Pick the unmatched source fact with the fewest candidates.
-    std::size_t best_idx = prepared_.size();
+    // Pick the block's unmatched fact with the fewest candidates.
+    std::size_t best_idx = range.end;
     std::size_t best_bound = std::numeric_limits<std::size_t>::max();
-    for (std::size_t i = 0; i < prepared_.size(); ++i) {
+    for (std::size_t i = range.begin; i < range.end; ++i) {
       if (matched_[i]) continue;
       std::size_t bound = CandidateBound(prepared_[i]);
       if (bound < best_bound) {
@@ -219,7 +288,7 @@ class HomSearch {
 
     matched_[best_idx] = true;
     const uint32_t n_rows = static_cast<uint32_t>(p.store->rows());
-    std::vector<uint32_t>& newly_bound = bind_stack_[remaining - 1];
+    std::vector<uint32_t>& newly_bound = bind_stack_[range.end - remaining];
     for (uint32_t k = 0; k < (list ? list->size() : n_rows); ++k) {
       const uint32_t row = list ? (*list)[k] : k;
       const uint32_t ordinal = p.store->ordinals[row];
@@ -228,7 +297,7 @@ class HomSearch {
       ++candidate_pairs_;
       newly_bound.clear();
       if (TryUnify(p, row, &newly_bound)) {
-        if (Search(remaining - 1)) return true;
+        if (Search(b, remaining - 1)) return true;
         if (budget_exceeded_) {
           Rollback(newly_bound);
           break;
@@ -280,12 +349,16 @@ class HomSearch {
   const FactMask* mask_;
   uint32_t excluded_;
   HomomorphismOptions options_;
-  std::vector<const Fact*> source_facts_;
+  BlockDecomposition parts_;
+  // Prepared facts, each block's contiguous in source order; blocks_ holds
+  // their ranges in search order.
   std::vector<PreparedFact> prepared_;
+  std::vector<BlockRange> blocks_;
   std::vector<uint32_t> terms_;    // shared arena, see PreparedFact
   std::vector<uint8_t> is_null_;   // shared arena, see PreparedFact
   // Per-depth undo lists, reused across candidates so the hot loop never
-  // allocates. Indexed by `remaining - 1`; deeper calls use lower indices.
+  // allocates. Indexed by the position of the fact being matched,
+  // blocks_[b].end - remaining, which is unique along a search path.
   std::vector<std::vector<uint32_t>> bind_stack_;
   std::vector<Value> slot_values_;  // slot -> the source null it stands for
   std::vector<bool> matched_;
@@ -375,21 +448,33 @@ Status CheckSeed(const ValueMap& seed) {
   return Status::OK();
 }
 
-// Shared tail of every public search entry point: run the backtracking
-// search over `source_facts` against `index` (optionally masked) and
-// publish one batch of stats.
+// Shared tail of every public search entry point: probe the ground facts
+// of `parts` against `probe_target` (a missing one refutes without
+// search), run the block search against `index` (optionally masked) and
+// publish one batch of stats. Only a decomposition with no ground facts
+// may come without a probe target.
 Result<std::optional<ValueMap>> RunSearch(
-    std::vector<const Fact*> source_facts, const FactIndex& index,
-    const FactMask* mask, uint32_t excluded, const ValueMap& seed,
-    const HomomorphismOptions& options, HomomorphismStats run,
-    const obs::ScopedTimer& timer) {
-  const uint64_t from_facts = source_facts.size();
+    BlockDecomposition parts, const Instance* probe_target,
+    const FactIndex& index, const FactMask* mask, uint32_t excluded,
+    const ValueMap& seed, const HomomorphismOptions& options,
+    HomomorphismStats run, const obs::ScopedTimer& timer) {
+  uint64_t from_facts = parts.ground.size();
+  for (const std::vector<const Fact*>& block : parts.blocks) {
+    from_facts += block.size();
+  }
   obs::Span span("hom");
-  HomSearch search(std::move(source_facts), index, options, mask, excluded);
-  Result<std::optional<ValueMap>> result = search.Run(seed);
-  run.steps = search.steps();
-  run.candidate_pairs = search.candidate_pairs();
-  run.backtracks = search.backtracks();
+  run.blocks = parts.blocks.size();
+  const bool ground_maps =
+      std::all_of(parts.ground.begin(), parts.ground.end(),
+                  [&](const Fact* f) { return probe_target->Contains(*f); });
+  Result<std::optional<ValueMap>> result = std::optional<ValueMap>();
+  if (ground_maps) {
+    HomSearch search(std::move(parts), index, options, mask, excluded);
+    result = search.Run(seed);
+    run.steps = search.steps();
+    run.candidate_pairs = search.candidate_pairs();
+    run.backtracks = search.backtracks();
+  }
   run.found = (result.ok() && result->has_value()) ? 1 : 0;
   run.micros = timer.ElapsedMicros();
   span.Arg("from_facts", from_facts)
@@ -420,12 +505,7 @@ Result<std::optional<ValueMap>> FindHomomorphism(
     PublishHomStats(run, options.stats, from.size());
     return std::optional<ValueMap>();
   }
-  std::vector<const Fact*> source_facts;
-  source_facts.reserve(from.size());
-  for (const Fact& f : from.facts()) {
-    source_facts.push_back(&f);
-  }
-  return RunSearch(std::move(source_facts), to_index, /*mask=*/nullptr,
+  return RunSearch(DecomposeIntoBlocks(from), &to, to_index, /*mask=*/nullptr,
                    /*excluded=*/kNoFactOrdinal, seed, options, run, timer);
 }
 
@@ -434,8 +514,12 @@ Result<std::optional<ValueMap>> FindHomomorphismMasked(
     const FactMask* mask, uint32_t excluded,
     const HomomorphismOptions& options) {
   obs::ScopedTimer timer;
-  return RunSearch(from_facts, to_index, mask, excluded, /*seed=*/{},
-                   options, HomomorphismStats(), timer);
+  // The core engine passes one null-block (its residue), searched as one
+  // block: ground facts included, no probes, no reordering.
+  BlockDecomposition parts;
+  if (!from_facts.empty()) parts.blocks.push_back(from_facts);
+  return RunSearch(std::move(parts), /*probe_target=*/nullptr, to_index, mask,
+                   excluded, /*seed=*/{}, options, HomomorphismStats(), timer);
 }
 
 Result<bool> HasHomomorphism(const Instance& from, const Instance& to,

@@ -22,6 +22,7 @@ struct HomomorphismStats {
   uint64_t backtracks = 0;           // bindings rolled back
   uint64_t domain_filter_prunes = 0; // searches refuted by the arc-consistency filter
   uint64_t found = 0;                // searches that found a homomorphism
+  uint64_t blocks = 0;               // null-blocks of the sources (masked: 1)
   uint64_t micros = 0;
 };
 
@@ -73,6 +74,10 @@ struct HomomorphismOptions {
 ///
 /// Returns nullopt when no homomorphism exists, and ResourceExhausted when
 /// the step budget runs out.
+///
+/// `from` is split into ground facts, decided by membership in `to`, and
+/// null-blocks (core/blocks.h), each searched on its own, hardest first;
+/// a block that cannot map refutes the search (docs/core.md).
 Result<std::optional<ValueMap>> FindHomomorphism(
     const Instance& from, const Instance& to, const ValueMap& seed = {},
     const HomomorphismOptions& options = {});

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <string_view>
+#include <unordered_set>
 #include <utility>
 
 #include "analysis/analyze.h"
@@ -15,10 +16,12 @@
 #include "base/strings.h"
 #include "chase/egd_chase.h"
 #include "chase/termination.h"
+#include "core/blocks.h"
 #include "core/core_computation.h"
 #include "core/fact_index.h"
 #include "core/match.h"
 #include "fuzz/reference_chase.h"
+#include "fuzz/reference_hom.h"
 #include "generator/scenarios.h"
 #include "mapping/quasi_inverse.h"
 #include "mapping/recovery.h"
@@ -26,6 +29,9 @@
 namespace rdx {
 namespace fuzz {
 namespace {
+
+// hom.reference enumerates at most this many assignments per search.
+constexpr std::size_t kReferenceAssignments = 2048;
 
 // Oracle comparisons between two chase runs use isomorphism, not
 // equality: each run draws fresh nulls from the process-wide counter, so
@@ -547,6 +553,139 @@ class Battery {
     // (the identity); the reverse direction exercises the negative path.
     CompareHomEngines(s_.instance, chased_.combined, "input->combined");
     CompareHomEngines(chased_.combined, s_.instance, "combined->input");
+    RunHomReference();
+  }
+
+  // hom.reference: FindHomomorphism against the brute-force reference on
+  // windows of the input and of the chase result small enough to
+  // enumerate. Each window is searched into itself, into itself minus its
+  // last fact (a dropped ground fact refutes by probe) and into a fresh
+  // renaming of itself; plain, under two seeds that bind nulls of two
+  // blocks, and injective null-to-null (AreIsomorphic's mode).
+  void RunHomReference() {
+    Ran("hom.reference");
+    std::size_t next_added = 0;
+    const Instance windows[] = {ReferenceWindow(s_.instance, nullptr),
+                                ReferenceWindow(chased_.added, &next_added),
+                                ReferenceWindow(chased_.added, &next_added)};
+    HomomorphismOptions iso = opts_.hom;
+    iso.injective = true;
+    iso.nulls_to_nulls = true;
+    for (const Instance& window : windows) {
+      if (window.empty()) continue;
+      Instance minus = window;
+      minus.RemoveFact(window.facts().back());
+      const Instance renamed = window.RenameNullsFresh();
+      auto [same, swapped] = TwoBlockSeeds(window);
+      const Instance* targets[] = {&window, &minus, &renamed};
+      for (const Instance* to : targets) {
+        CompareWithReference(window, *to, {}, opts_.hom, "plain");
+        CompareWithReference(window, *to, same, opts_.hom, "seeded");
+        CompareWithReference(window, *to, swapped, opts_.hom, "seeded");
+        CompareWithReference(window, *to, {}, iso, "injective");
+      }
+    }
+  }
+
+  // The longest run of facts of `instance` from *next on (from the start
+  // when `next` is null) whose every null assignment the reference can
+  // enumerate: at most kMaxReferenceNulls nulls, and
+  // |adom|^|nulls| <= kReferenceAssignments. Advances *next past it.
+  static Instance ReferenceWindow(const Instance& instance,
+                                  std::size_t* next) {
+    std::size_t i = next == nullptr ? 0 : *next;
+    Instance window;
+    std::unordered_set<Value, ValueHash> adom;
+    std::size_t nulls = 0;
+    for (; i < instance.size(); ++i) {
+      const Fact& f = instance.facts()[i];
+      std::unordered_set<Value, ValueHash> grown = adom;
+      std::size_t grown_nulls = nulls;
+      for (const Value& v : f.args()) {
+        if (grown.insert(v).second && v.IsNull()) ++grown_nulls;
+      }
+      if (grown_nulls > kMaxReferenceNulls ||
+          !WithinReferenceBudget(grown.size(), grown_nulls)) {
+        if (window.empty()) ++i;  // a fact too large alone is skipped
+        break;
+      }
+      window.AddFact(f);
+      adom = std::move(grown);
+      nulls = grown_nulls;
+    }
+    if (next != nullptr) *next = i;
+    return window;
+  }
+
+  static bool WithinReferenceBudget(std::size_t domain, std::size_t nulls) {
+    std::size_t assignments = 1;
+    for (std::size_t k = 0; k < nulls; ++k) {
+      assignments *= domain;
+      if (assignments > kReferenceAssignments) return false;
+    }
+    return true;
+  }
+
+  // Seeds over the first nulls x, y of the window's first two null-blocks:
+  // {x->x, y->y} and {x->y, y->x} (one block: {x->x} and x to the
+  // window's first value; no nulls: both empty).
+  static std::pair<ValueMap, ValueMap> TwoBlockSeeds(const Instance& window) {
+    std::vector<Value> firsts;
+    for (const std::vector<const Fact*>& block :
+         DecomposeIntoBlocks(window).blocks) {
+      for (const Value& v : block.front()->args()) {
+        if (v.IsNull()) {
+          firsts.push_back(v);
+          break;
+        }
+      }
+      if (firsts.size() == 2) break;
+    }
+    ValueMap same;
+    ValueMap swapped;
+    if (firsts.size() == 2) {
+      same = {{firsts[0], firsts[0]}, {firsts[1], firsts[1]}};
+      swapped = {{firsts[0], firsts[1]}, {firsts[1], firsts[0]}};
+    } else if (firsts.size() == 1) {
+      same = {{firsts[0], firsts[0]}};
+      swapped = {{firsts[0], window.facts().front().args().front()}};
+    }
+    return {std::move(same), std::move(swapped)};
+  }
+
+  void CompareWithReference(const Instance& from, const Instance& to,
+                            const ValueMap& seed,
+                            const HomomorphismOptions& options,
+                            const char* mode) {
+    std::optional<ValueMap> expected;
+    if (!Take(ReferenceFindHomomorphism(from, to, seed, options),
+              "hom.reference", &expected)) {
+      return;
+    }
+    std::optional<ValueMap> found;
+    if (!Take(FindHomomorphism(from, to, seed, options), "hom", &found)) {
+      return;
+    }
+    const auto pair = [&] {
+      return StrCat(from.ToString(), " -> ", to.ToString());
+    };
+    if (found.has_value() != expected.has_value()) {
+      Fail("hom.reference",
+           StrCat(mode, ": block search ",
+                  found.has_value() ? "found" : "refuted",
+                  " a homomorphism, the reference ",
+                  expected.has_value() ? "found" : "refuted", " one: ",
+                  pair()));
+      return;
+    }
+    if (found.has_value()) {
+      std::string bad =
+          CheckHomomorphismWitness(from, to, seed, options, *found);
+      if (!bad.empty()) {
+        Fail("hom.reference",
+             StrCat(mode, ": the block search's witness ", bad, ": ", pair()));
+      }
+    }
   }
 
   void CompareHomEngines(const Instance& from, const Instance& to,
@@ -808,6 +947,10 @@ const std::vector<OracleInfo>& OracleCatalog() {
       {"core.idempotent", "the core admits no further retraction"},
       {"hom.masked_vs_plain",
        "masked and plain homomorphism search agree on existence"},
+      {"hom.reference",
+       "the block search agrees with brute-force enumeration (at most 6 "
+       "nulls) plain, seeded and injective null-to-null, and every map it "
+       "returns is a homomorphism extending the seed"},
       {"inverse.quasi",
        "the quasi-inverse of a full-tgd mapping passes the "
        "extended-recovery check"},

@@ -1,5 +1,7 @@
 #include "mapping/extended.h"
 
+#include <utility>
+
 #include "base/strings.h"
 #include "core/core_computation.h"
 
@@ -34,7 +36,7 @@ Result<Instance> ChaseMapping(const SchemaMapping& mapping, const Instance& I,
                               const ChaseOptions& options) {
   RDX_ASSIGN_OR_RETURN(ChaseResult result,
                        ChaseMappingWithStats(mapping, I, options));
-  return result.added;
+  return std::move(result.added);
 }
 
 Result<ChaseResult> ChaseMappingWithStats(const SchemaMapping& mapping,
@@ -58,7 +60,7 @@ Result<std::vector<Instance>> DisjunctiveChaseMapping(
   RDX_RETURN_IF_ERROR(CheckSourceInstance(mapping, I));
   RDX_ASSIGN_OR_RETURN(DisjunctiveChaseResult result,
                        DisjunctiveChase(I, mapping.dependencies(), options));
-  return result.added;
+  return std::move(result.added);
 }
 
 Result<bool> IsSolution(const SchemaMapping& mapping, const Instance& I,

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fuzz/reference_hom.h"
 #include "test_util.h"
 
 namespace rdx {
@@ -245,6 +246,150 @@ TEST(HomomorphismTest, BudgetExhaustionSurfaces) {
   Result<bool> r = HasHomomorphism(from, to, options);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+}
+
+// Block-search cases with a known answer, each also checked against the
+// brute-force reference; every returned map is validated as a witness.
+struct BlockCase {
+  const char* name;
+  const char* from;
+  const char* to;
+  // Seed as (null label, value); a value starting with '?' is a null.
+  std::vector<std::pair<const char*, const char*>> seed;
+  bool injective;  // injective and null-to-null, as AreIsomorphic searches
+  bool expected;
+};
+
+TEST(HomomorphismTest, BlockSearchCasesAgreeWithReference) {
+  const std::vector<BlockCase> cases = {
+      {"last block fails on a join",
+       "HomT_P(?A, a). HomT_P(?B, b). HomT_P(?X, ?Y). HomT_P(?Y, ?X)",
+       "HomT_P(c, a). HomT_P(c, b). HomT_P(a, b)", {}, false, false},
+      {"last block has no candidate",
+       "HomT_P(?A, a). HomT_P(?B, b). HomT_P(?C, zz)",
+       "HomT_P(c, a). HomT_P(c, b)", {}, false, false},
+      {"every block maps", "HomT_P(?A, a). HomT_P(?B, b). HomT_P(?X, ?Y)",
+       "HomT_P(c, a). HomT_P(c, b)", {}, false, true},
+      {"missing ground fact", "HomT_P(a, b). HomT_P(?X, c)", "HomT_P(d, c)",
+       {}, false, false},
+      {"present ground fact", "HomT_P(d, c). HomT_P(?X, c)", "HomT_P(d, c)",
+       {}, false, true},
+      {"seed binds two blocks", "HomT_P(?X, a). HomT_P(?Y, b)",
+       "HomT_P(c, a). HomT_P(d, a). HomT_P(d, b)", {{"X", "d"}, {"Y", "d"}},
+       false, true},
+      {"seed in a second block refutes", "HomT_P(?X, a). HomT_P(?Y, b)",
+       "HomT_P(c, a). HomT_P(d, a). HomT_P(d, b)", {{"X", "d"}, {"Y", "c"}},
+       false, false},
+      {"injective blocks compete for one target block",
+       "HomT_P(?A1, ?A2). HomT_P(?B1, ?B2). HomT_P(?B2, ?B3)",
+       "HomT_P(?E, ?F). HomT_P(?F, ?G). HomT_P(?H, ?K)", {}, true, true},
+      {"injective blocks cannot share a target",
+       "HomT_P(?A1, ?A2). HomT_P(?B1, ?B2)", "HomT_P(?E, ?F)", {}, true,
+       false},
+      {"empty source", "", "HomT_P(a, b)", {}, false, true},
+      {"empty source into empty target", "", "", {}, true, true},
+  };
+  for (const BlockCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Instance from = I(c.from);
+    const Instance to = I(c.to);
+    ValueMap seed;
+    for (const auto& [null, value] : c.seed) {
+      seed.emplace(Value::MakeNull(null),
+                   value[0] == '?' ? Value::MakeNull(value + 1)
+                                   : Value::MakeConstant(value));
+    }
+    HomomorphismOptions options;
+    options.injective = c.injective;
+    options.nulls_to_nulls = c.injective;
+    RDX_ASSERT_OK_AND_ASSIGN(std::optional<ValueMap> h,
+                             FindHomomorphism(from, to, seed, options));
+    RDX_ASSERT_OK_AND_ASSIGN(
+        std::optional<ValueMap> reference,
+        fuzz::ReferenceFindHomomorphism(from, to, seed, options));
+    EXPECT_EQ(h.has_value(), c.expected);
+    EXPECT_EQ(reference.has_value(), c.expected);
+    if (h.has_value()) {
+      EXPECT_EQ(fuzz::CheckHomomorphismWitness(from, to, seed, options, *h),
+                "");
+    }
+  }
+}
+
+TEST(HomomorphismTest, StatsCountNullBlocks) {
+  // Two ground facts (probes, no block) and three null-blocks; the masked
+  // core path searches its facts as one block.
+  Instance from = I(
+      "HomT_P(a, b). HomT_P(?X, ?Y). HomT_P(?Y, a). HomT_P(?Z, b). "
+      "HomT_P(b, a). HomT_P(?W, ?W)");
+  Instance to = I("HomT_P(a, b). HomT_P(b, a). HomT_P(a, a)");
+  HomomorphismStats stats;
+  HomomorphismOptions options;
+  options.stats = &stats;
+  RDX_ASSERT_OK_AND_ASSIGN(bool hom, HasHomomorphism(from, to, options));
+  EXPECT_TRUE(hom);
+  EXPECT_EQ(stats.blocks, 3u);
+
+  FactIndex index(to);
+  std::vector<const Fact*> facts;
+  for (const Fact& f : from.facts()) facts.push_back(&f);
+  HomomorphismStats masked_stats;
+  options.stats = &masked_stats;
+  RDX_ASSERT_OK_AND_ASSIGN(
+      std::optional<ValueMap> h,
+      FindHomomorphismMasked(facts, index, /*mask=*/nullptr, kNoFactOrdinal,
+                             options));
+  EXPECT_TRUE(h.has_value());
+  EXPECT_EQ(masked_stats.blocks, 1u);
+}
+
+// The input of BM_HomEquivalence/<facts> (bench/bench_homomorphism.cc).
+Instance BenchRandomGraph(std::size_t facts, double null_ratio,
+                          uint64_t seed) {
+  Rng rng(seed);
+  Schema schema;
+  (void)schema.AddRelation(Relation::MustIntern("BhE", 2));
+  InstanceGenOptions options;
+  options.num_facts = facts;
+  options.num_constants = facts / 2 + 2;
+  options.num_nulls = (facts / 2 + 2) / 2 + 1;
+  options.null_ratio = null_ratio;
+  return RandomInstance(schema, options, &rng);
+}
+
+TEST(HomomorphismTest, EquivalenceOnRandomGraph400FitsStepBudget) {
+  // Both directions always have a witness (the null renaming). A search
+  // over the whole source backtracked through unrelated null components
+  // for seconds here; block by block it fits a small step budget.
+  Instance a = BenchRandomGraph(400, 0.3, 13);
+  Instance b = a.RenameNullsFresh();
+  HomomorphismOptions options;
+  options.max_steps = 20'000;
+  Result<bool> equiv = AreHomEquivalent(a, b, options);
+  ASSERT_TRUE(equiv.ok()) << equiv.status().ToString();
+  EXPECT_TRUE(*equiv);
+}
+
+TEST(HomomorphismTest, RigidRefutationOnFirstStep) {
+  // The input of BM_HomNegative/400: a null-weakened copy plus one fact
+  // whose constant occurs nowhere in the target. Its block has no
+  // candidate, so it is searched first and refutes on the first step.
+  Instance to = BenchRandomGraph(400, 0.0, 12);
+  ValueMap weaken;
+  for (const Value& v : to.ActiveDomain()) {
+    Rng coin(v.Hash() ^ 0x5a5a);
+    if (coin.Bernoulli(0.5)) weaken.emplace(v, Value::FreshNull());
+  }
+  Instance from = to.Apply(weaken);
+  from.AddFact(Fact::MustMake(
+      Relation::MustIntern("BhE", 2),
+      {Value::MakeNull("bhdead"), Value::MakeConstant("bh_missing")}));
+  HomomorphismStats stats;
+  HomomorphismOptions options;
+  options.stats = &stats;
+  RDX_ASSERT_OK_AND_ASSIGN(bool hom, HasHomomorphism(from, to, options));
+  EXPECT_FALSE(hom);
+  EXPECT_LE(stats.steps, 1u);
 }
 
 }  // namespace
